@@ -6,6 +6,9 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include "accel/perf_model.hpp"
@@ -87,5 +90,36 @@ inline void print_backend_stats(const core::BackendStats& s) {
       static_cast<unsigned long long>(s.shard_entries), s.phase_sigma, s.gain,
       static_cast<unsigned long long>(s.query_blocks), s.queries_per_block());
 }
+
+/// Private per-process directory for a bench's on-disk artifacts, created
+/// under the system temp directory and removed with everything in it when
+/// the object goes out of scope — so concurrent bench runs never collide
+/// on a fixed path.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "omshd-bench-XXXXXX")
+            .string();
+    if (mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("cannot create a scratch directory: " + tmpl);
+    }
+    path_ = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  /// Path of `name` inside the directory.
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
 
 }  // namespace oms::bench

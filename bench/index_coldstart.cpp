@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -29,7 +28,6 @@
 #include "hd/search.hpp"
 #include "index/index_builder.hpp"
 #include "index/library_index.hpp"
-#include "index/manifest.hpp"
 #include "index/segmented_library.hpp"
 #include "util/bitvec.hpp"
 
@@ -64,21 +62,15 @@ struct Measurement {
   }
 };
 
-/// Batched exact-search throughput over one multi-segment library, by
-/// sweep entry point: the per-BitVec fallback (what multi-segment search
-/// cost before hd::RefView), the piecewise extent sweep over the same
-/// fragmented mapping, and the contiguous sweep after compaction.
+/// Batched exact-search throughput over one multi-segment library: the
+/// piecewise extent sweep over the fragmented mapping, and the contiguous
+/// sweep after compaction.
 struct MultisegMeasurement {
   std::size_t segments = 0;
   std::size_t extents = 0;       ///< Piecewise view extents pre-compaction.
   std::size_t rows = 0;          ///< Library entries swept.
-  double per_vector_qps = 0.0;
   double piecewise_qps = 0.0;
   double contiguous_qps = 0.0;   ///< Post-compaction (1 extent).
-
-  [[nodiscard]] double piecewise_speedup() const noexcept {
-    return per_vector_qps > 0.0 ? piecewise_qps / per_vector_qps : 0.0;
-  }
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -128,10 +120,8 @@ void write_json(const std::string& path,
       << ",\n  \"multiseg\": {\"segments\": " << multiseg.segments
       << ", \"extents\": " << multiseg.extents
       << ", \"rows\": " << multiseg.rows
-      << ", \"per_vector_qps\": " << multiseg.per_vector_qps
       << ", \"piecewise_qps\": " << multiseg.piecewise_qps
       << ", \"contiguous_qps\": " << multiseg.contiguous_qps
-      << ", \"piecewise_speedup\": " << multiseg.piecewise_speedup()
       << "}\n}\n";
 }
 
@@ -154,6 +144,7 @@ int main(int argc, char** argv) {
       "Cold start: build-from-spectra vs load-from-index",
       "the paper's encode-offline/store-in-memory data flow (§4) as a "
       "persistent artifact");
+  const oms::bench::ScratchDir scratch;
 
   oms::ms::WorkloadConfig data_cfg;
   data_cfg.reference_count = n_refs;
@@ -207,8 +198,8 @@ int main(int argc, char** argv) {
     }
 
     // --- build the artifact once -----------------------------------------
-    const std::string index_path = "/tmp/omshd_coldstart_" +
-                                   std::string(backend) + ".omsx";
+    const std::string index_path =
+        scratch.file("coldstart_" + std::string(backend) + ".omsx");
     const oms::index::IndexBuilder builder(cfg);
     const auto build_stats = builder.build(wl.references, index_path);
     m.index_build_s = build_stats.encode_seconds + build_stats.write_seconds;
@@ -229,7 +220,6 @@ int main(int argc, char** argv) {
       if (rep == 0) m.mapped = idx->mapped();
       (void)r;
     }
-    std::remove(index_path.c_str());
 
     results.push_back(m);
     table.add_row({m.backend, oms::util::Table::fmt(m.build_first_psm_s, 3),
@@ -263,8 +253,7 @@ int main(int argc, char** argv) {
                                n_refs};
   for (const std::size_t base_n : bases) {
     const std::string man_path =
-        "/tmp/omshd_coldstart_append_" + std::to_string(base_n) + ".omsman";
-    std::remove(man_path.c_str());
+        scratch.file("coldstart_append_" + std::to_string(base_n) + ".omsman");
     const std::vector<oms::ms::Spectrum> base(
         workload.references.begin(),
         workload.references.begin() + static_cast<std::ptrdiff_t>(base_n));
@@ -280,13 +269,6 @@ int main(int argc, char** argv) {
     a.segment_bytes = stats.file_bytes;
     appends.push_back(a);
 
-    const auto man = oms::index::Manifest::load(man_path);
-    const auto dir = std::filesystem::path(man_path).parent_path();
-    for (const auto& seg : man.segments) {
-      std::filesystem::remove(dir / seg.name);
-    }
-    std::remove(man_path.c_str());
-
     std::printf("append %zu spectra onto %zu-ref base: %.3f s "
                 "(encode %.3f s, segment %.2f MB)\n",
                 batch_n, base_n, a.append_s, a.encode_s,
@@ -301,17 +283,15 @@ int main(int argc, char** argv) {
   // --- multi-segment search throughput ----------------------------------
   // One library grown as two appended halves: its word rows live in two
   // disjoint mappings interleaved by mass, so no single RefMatrix exists.
-  // Compare the batched exact sweep through its three entry points:
-  // per-BitVec fallback (the pre-RefView cost of fragmentation), the
-  // piecewise extent sweep, and the contiguous sweep after compaction.
+  // Compare the batched exact sweep over the piecewise extents with the
+  // contiguous sweep after compaction.
   MultisegMeasurement ms_m;
   {
     oms::core::PipelineConfig seg_cfg =
         oms::bench::paper_pipeline_config(dim);
     seg_cfg.backend_name = "ideal-hd";
     const oms::index::IndexBuilder seg_builder(seg_cfg);
-    const std::string man_path = "/tmp/omshd_coldstart_multiseg.omsman";
-    std::remove(man_path.c_str());
+    const std::string man_path = scratch.file("coldstart_multiseg.omsman");
     const std::size_t half = workload.references.size() / 2;
     (void)seg_builder.append(
         std::vector<oms::ms::Spectrum>(
@@ -324,23 +304,14 @@ int main(int argc, char** argv) {
             workload.references.end()),
         man_path);
 
-    const auto cleanup = [&man_path] {
-      const auto man = oms::index::Manifest::load(man_path);
-      const auto dir = std::filesystem::path(man_path).parent_path();
-      for (const auto& seg : man.segments) {
-        std::filesystem::remove(dir / seg.name);
-      }
-      std::remove(man_path.c_str());
-    };
-
     const auto lib = oms::index::SegmentedLibrary::open(man_path);
     ms_m.segments = lib.segment_count();
     ms_m.extents = lib.ref_view().extent_count();
     ms_m.rows = lib.size();
 
     // Random probe hypervectors with paper-shaped mass windows (±500 Da
-    // around masses spread across the axis); content-independent, so the
-    // three layouts sweep identical candidate ranges.
+    // around masses spread across the axis); content-independent, so both
+    // layouts sweep identical candidate ranges.
     constexpr std::size_t kProbes = 64;
     constexpr std::size_t kTopK = 4;
     std::vector<oms::util::BitVec> probes(kProbes);
@@ -369,18 +340,18 @@ int main(int argc, char** argv) {
       return best;
     };
 
-    // Sanity first: the three entry points must agree bit for bit.
-    const auto want =
-        oms::hd::top_k_search_batch(batch, lib.hypervectors(), kTopK);
+    // Sanity first: both layouts must agree bit for bit with the per-query
+    // span oracle.
+    std::vector<std::vector<oms::hd::SearchHit>> want;
+    for (const oms::hd::BatchQuery& q : batch) {
+      want.push_back(oms::hd::top_k_search(*q.hv, lib.hypervectors(), q.first,
+                                           q.last, kTopK));
+    }
     if (oms::hd::top_k_search_batch(batch, lib.ref_view(), kTopK) != want) {
-      std::fprintf(stderr,
-                   "FATAL: piecewise sweep diverged from fallback\n");
+      std::fprintf(stderr, "FATAL: piecewise sweep diverged from oracle\n");
       return 1;
     }
 
-    ms_m.per_vector_qps = time_qps([&] {
-      (void)oms::hd::top_k_search_batch(batch, lib.hypervectors(), kTopK);
-    });
     ms_m.piecewise_qps = time_qps([&] {
       (void)oms::hd::top_k_search_batch(batch, lib.ref_view(), kTopK);
     });
@@ -389,24 +360,20 @@ int main(int argc, char** argv) {
     const auto compacted = oms::index::SegmentedLibrary::open(man_path);
     if (oms::hd::top_k_search_batch(batch, compacted.ref_view(), kTopK) !=
         want) {
-      std::fprintf(stderr,
-                   "FATAL: compacted sweep diverged from fallback\n");
-      cleanup();
+      std::fprintf(stderr, "FATAL: compacted sweep diverged from oracle\n");
       return 1;
     }
     ms_m.contiguous_qps = time_qps([&] {
       (void)oms::hd::top_k_search_batch(batch, compacted.ref_view(), kTopK);
     });
-    cleanup();
 
     std::printf(
         "multi-segment batched search (%zu rows, %zu segments, %zu "
         "extents):\n"
-        "  per-vector fallback  %10.0f q/s\n"
-        "  piecewise RefView    %10.0f q/s  (%.2fx)\n"
+        "  piecewise RefView    %10.0f q/s\n"
         "  compacted contiguous %10.0f q/s\n\n",
-        ms_m.rows, ms_m.segments, ms_m.extents, ms_m.per_vector_qps,
-        ms_m.piecewise_qps, ms_m.piecewise_speedup(), ms_m.contiguous_qps);
+        ms_m.rows, ms_m.segments, ms_m.extents, ms_m.piecewise_qps,
+        ms_m.contiguous_qps);
   }
 
   write_json(out_path, results, appends, ms_m, dim);

@@ -177,7 +177,8 @@ int main(int argc, char** argv) {
   oms::core::PipelineConfig cfg = oms::bench::paper_pipeline_config(dim);
   cfg.backend_name = backend;
 
-  const std::string artifact = "/tmp/omshd_serve_bench.omsx";
+  const oms::bench::ScratchDir scratch;
+  const std::string artifact = scratch.file("serve_bench.omsx");
   const oms::index::IndexBuilder builder(cfg);
   const auto build_stats = builder.build(workload.references, artifact);
   std::printf("artifact: %zu entries, %zu bytes; %zu queries/session, "
@@ -221,6 +222,5 @@ int main(int argc, char** argv) {
       "sessions until the shared pool saturates, while first-PSM p99\n"
       "stays bounded: the fair scheduler round-robins blocks, so one\n"
       "tenant's backlog cannot starve another's first result.\n");
-  std::remove(artifact.c_str());
   return 0;
 }

@@ -38,14 +38,22 @@
 // Observability overhead contract: metrics are block-granular (a handful
 // of clock reads per ~64-query block); per-query span tracing is off
 // unless OPEN sets trace=N (trace every Nth query), and while off every
-// engine instrumentation site is a single branch — serve throughput with
-// tracing disabled is held to within noise of the uninstrumented build
-// (bench/serve_throughput.cpp gate).
+// engine instrumentation site is a single branch.
+//
+// Q lines are validated before anything is submitted: the ids must be
+// plain decimal integers, the precursor m/z finite and > 0, the charge an
+// integer in 1..kMaxCharge, every peak m/z finite and every intensity
+// finite, >= 0 and representable as a float. A line that fails gets
+// `ERR <field>` and is not admitted (serve.queries_total does not count
+// it).
 //
 // The pipeline configuration behind OPEN is the quickstart operating
 // point (D=8192, 3-bit IDs, ±500 Da, 1% FDR) so a served session's PSM
 // stream is directly comparable to `quickstart --print-psms`; the OPEN
 // options override the knobs a tenant may vary.
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,6 +75,31 @@
 #include "util/cli.hpp"
 
 namespace {
+
+/// Largest precursor charge a Q line may carry.
+constexpr std::uint64_t kMaxCharge = 16;
+
+/// Parses all of `text` as a plain decimal integer (digits only); false on
+/// empty input, a sign, trailing characters or overflow.
+bool parse_u64(const char* text, std::uint64_t& out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  out = v;
+  return true;
+}
+
+/// Parses all of `text` as a finite double; false on empty input, trailing
+/// characters, overflow to infinity, or NaN.
+bool parse_finite(const char* text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
 
 /// The quickstart operating point; OPEN options layer on top.
 oms::core::PipelineConfig base_config() {
@@ -203,10 +236,20 @@ class Conversation {
     return true;
   }
 
+  /// The open session named by `sid_text`; replies ERR and returns null
+  /// when the id is malformed or names no open session.
   oms::serve::Session* find(const char* sid_text) {
-    const std::uint64_t sid = std::strtoull(sid_text, nullptr, 10);
+    std::uint64_t sid = 0;
+    if (!parse_u64(sid_text, sid)) {
+      reply("ERR session id");
+      return nullptr;
+    }
     auto it = sessions_.find(sid);
-    return it == sessions_.end() ? nullptr : it->second.get();
+    if (it == sessions_.end()) {
+      reply(std::string("ERR no such session: ") + sid_text);
+      return nullptr;
+    }
+    return it->second.get();
   }
 
   bool cmd_query(const std::vector<char*>& tok) {
@@ -215,19 +258,33 @@ class Conversation {
       return true;
     }
     oms::serve::Session* s = find(tok[1]);
-    if (s == nullptr) {
-      reply(std::string("ERR no such session: ") + tok[1]);
+    if (s == nullptr) return true;
+    oms::ms::Spectrum q;
+    std::uint64_t qid = 0;
+    if (!parse_u64(tok[2], qid) || qid > UINT32_MAX) {
+      reply("ERR query id");
       return true;
     }
-    oms::ms::Spectrum q;
-    q.id = static_cast<std::uint32_t>(std::strtoul(tok[2], nullptr, 10));
-    q.precursor_mz = std::strtod(tok[3], nullptr);
-    q.precursor_charge = static_cast<int>(std::strtol(tok[4], nullptr, 10));
+    q.id = static_cast<std::uint32_t>(qid);
+    if (!parse_finite(tok[3], q.precursor_mz) || q.precursor_mz <= 0.0) {
+      reply("ERR precursor m/z");
+      return true;
+    }
+    std::uint64_t charge = 0;
+    if (!parse_u64(tok[4], charge) || charge < 1 || charge > kMaxCharge) {
+      reply("ERR charge");
+      return true;
+    }
+    q.precursor_charge = static_cast<int>(charge);
     for (const char* p = tok[5]; *p != '\0';) {
       char* end = nullptr;
       const double mz = std::strtod(p, &end);
       if (end == p || *end != ':') {
         reply("ERR bad peak list");
+        return true;
+      }
+      if (!std::isfinite(mz)) {
+        reply("ERR peak m/z");
         return true;
       }
       p = end + 1;
@@ -236,10 +293,14 @@ class Conversation {
         reply("ERR bad peak list");
         return true;
       }
+      if (!std::isfinite(intensity) || intensity < 0.0 ||
+          intensity > FLT_MAX) {
+        reply("ERR peak intensity");
+        return true;
+      }
       q.peaks.push_back({mz, static_cast<float>(intensity)});
       p = (*end == ',') ? end + 1 : end;
     }
-    const std::uint32_t qid = q.id;
     if (!s->submit(std::move(q))) {
       reply("REJECT " + std::to_string(s->id()) + " " + std::to_string(qid));
     }
@@ -252,10 +313,7 @@ class Conversation {
       return true;
     }
     oms::serve::Session* s = find(tok[1]);
-    if (s == nullptr) {
-      reply(std::string("ERR no such session: ") + tok[1]);
-      return true;
-    }
+    if (s == nullptr) return true;
     // close() drains: the remaining accepted PSMs flush through on_accept
     // (so their lines precede CLOSED), then the summary confirms.
     const oms::core::PipelineResult result = s->close();
@@ -334,7 +392,10 @@ void print_help() {
       "       [trace=N]\n"
       "    -> OK <session-id> | ERR <message>\n"
       "  Q <session-id> <query-id> <precursor_mz> <charge> <mz:int,...>\n"
-      "    -> REJECT <sid> <qid> only when admission sheds the query;\n"
+      "    -> ERR <field> when a field is out of range (the query is not\n"
+      "       admitted): precursor_mz finite and > 0, charge 1..16, peak\n"
+      "       m/z finite, intensity finite, >= 0 and within float range;\n"
+      "       REJECT <sid> <qid> only when admission sheds the query;\n"
       "       confident PSMs stream asynchronously as\n"
       "       PSM <sid> <qid> <peptide> <score> <mass-shift>\n"
       "  CLOSE <session-id>\n"

@@ -11,27 +11,27 @@
 //            check;
 //   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ).
 //
-// The dispatched entry points (xor_popcount, hamming_sweep) read the active
-// tier once per call; best_supported() is CPUID-probed at startup and the
-// OMSHD_KERNEL_TIER env var ("scalar" | "avx2" | "avx512") or
-// set_active_tier() can clamp it down — benches use this to measure every
-// tier, tests to prove bit-identity across all of them.
+// The dispatched entry point (xor_popcount) reads the active tier once per
+// call; the sweep (hamming_sweep_tier) takes the tier from its caller,
+// which resolves it once per block. best_supported() is CPUID-probed at
+// startup and the OMSHD_KERNEL_TIER env var ("scalar" | "avx2" |
+// "avx512") or set_active_tier() can clamp it down — benches use this to
+// measure every tier, tests to prove bit-identity across all of them.
 //
-// RefMatrix is the contiguous reference-major view the sweeps run over: a
-// raw word pointer + row stride into a hypervector block (the mmap'd
-// index::LibraryIndex word block is laid out exactly like this, 64-byte
-// aligned — the PR 4 alignment choice this layer cashes in). All loads are
-// unaligned-safe, so the 8-byte-aligned in-memory MappedFile fallback goes
-// through the same kernels.
-//
-// RefView generalizes that to a *piecewise* layout: an ordered list of
-// contiguous (words, stride, rows, base-index) extents partitioning the
-// global reference index space [0, count). A one-extent view IS a
-// RefMatrix, so the monolithic fast path is the degenerate case of the
-// piecewise sweep rather than a parallel code path; a multi-segment
-// index::SegmentedLibrary — whose merged order interleaves disjoint
-// mapped blocks — exposes itself as a many-extent view and keeps the
-// SIMD sweeps instead of dropping to per-BitVec indirection.
+// Layout types:
+//   * RefMatrix — one contiguous run of rows: a raw word pointer + row
+//     stride into a hypervector block. It is the per-extent shape the tier
+//     sweeps take (the mmap'd index::LibraryIndex word block is laid out
+//     exactly like this, 64-byte aligned; LibraryIndex::ref_matrix()
+//     exposes it). All loads are unaligned-safe, so the 8-byte-aligned
+//     in-memory MappedFile fallback goes through the same kernels.
+//   * RefView — the layout the searches run over: an ordered list of
+//     contiguous (words, stride, rows, base-index) extents partitioning the
+//     global reference index space [0, count). RefView::from_span
+//     coalesces any span of BitVecs into maximal constant-stride runs, so a
+//     monolithic block is the one-extent case and a multi-segment
+//     index::SegmentedLibrary — whose merged order interleaves disjoint
+//     mapped blocks — a many-extent view over the same sweep.
 #pragma once
 
 #include <cstddef>
@@ -63,17 +63,6 @@ struct RefMatrix {
       std::size_t i) const noexcept {
     return words + i * stride;
   }
-
-  /// Detects whether `refs` is a constant-stride walk over one contiguous
-  /// word block (equal dims, row i at base + i*stride for a uint64-aligned
-  /// stride >= word_count) and returns the matching view; an invalid (null)
-  /// matrix otherwise. The zero-copy BitVec views a LibraryIndex exposes
-  /// always detect; per-BitVec owned storage normally does not (and when a
-  /// heap layout happens to be regular, the resulting view is still
-  /// correct — every row pointer is verified). O(refs.size()) pointer
-  /// checks: cheap next to any sweep, but hoist it out of per-query loops.
-  [[nodiscard]] static RefMatrix from_span(
-      std::span<const util::BitVec> refs) noexcept;
 };
 
 /// One contiguous run of a piecewise reference view: global rows
@@ -104,7 +93,7 @@ class RefView {
   [[nodiscard]] std::size_t extent_count() const noexcept {
     return extents_.size();
   }
-  /// True when the whole view is one extent — today's RefMatrix layout.
+  /// True when the whole view is one extent — the monolithic layout.
   [[nodiscard]] bool contiguous() const noexcept {
     return extents_.size() == 1;
   }
@@ -126,7 +115,8 @@ class RefView {
   /// backed spans (LibraryIndex, one SegmentedLibrary segment) become one
   /// extent per underlying block, individually heap-allocated BitVecs
   /// degenerate to single-row extents (still correct — every row pointer
-  /// is taken verbatim). Invalid on an empty span or mixed dims.
+  /// is taken verbatim). Invalid on an empty span, zero-dim rows or mixed
+  /// dims.
   [[nodiscard]] static RefView from_span(std::span<const util::BitVec> refs);
 
   /// Wraps a valid RefMatrix as the degenerate one-extent view.
@@ -169,32 +159,13 @@ Tier set_active_tier(Tier tier) noexcept;
                                             const std::uint64_t* b,
                                             std::size_t n) noexcept;
 
-/// Hamming distances of one query against matrix rows [first, last):
-/// out[j] = popcount(query ^ row(first + j)). The reference-major inner
-/// loop of the exact search; rows stream sequentially so the hardware
-/// prefetcher sees one linear walk over the mapped block.
-void hamming_sweep(const std::uint64_t* query, const RefMatrix& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept;
-
-/// Same, through an explicit tier (must be <= best_supported()).
+/// Hamming distances of one query against matrix rows [first, last)
+/// through `tier` (must be <= best_supported()): out[j] = popcount(query ^
+/// row(first + j)). The reference-major inner loop of the exact search;
+/// rows stream sequentially so the hardware prefetcher sees one linear
+/// walk over the mapped block.
 void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
                         const RefMatrix& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept;
-
-/// Piecewise sweep: Hamming distances of one query against view rows
-/// [first, last) in *global* index order, out[j] for row first + j. Runs
-/// the contiguous sweep per overlapping extent, so a one-extent view is
-/// exactly the RefMatrix sweep.
-void hamming_sweep(const std::uint64_t* query, const RefView& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept;
-
-/// Same, through an explicit tier (must be <= best_supported()). The tier
-/// is resolved once by the caller, not per extent — batched callers hoist
-/// the atomic dispatch load out of their sweep loops with this.
-void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefView& refs, std::size_t first,
                         std::size_t last, std::uint32_t* out) noexcept;
 
 /// Rows per cache block for a batched sweep: sized so one chunk of

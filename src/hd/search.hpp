@@ -4,35 +4,29 @@
 // what turns the same kernel into either a standard search (narrow window)
 // or an open modification search (wide window).
 //
-// Besides the per-query kernels this header carries the *query block*
-// vocabulary shared by every batched search path: BatchQuery (one request
-// in a block), insert_top_k (the top-k maintenance every kernel uses, so
-// tie-breaking is identical everywhere), for_each_query_segment (the
-// reference-major sweep that lets one pass over resident references serve a
-// whole block), and top_k_search_batch (the batched exact kernel built on
-// them).
+// Map of this header:
+//   * SearchHit             — one scored candidate (global reference index,
+//                             bipolar dot, Hamming similarity).
+//   * top_k_search (span)   — the scalar oracle: one query, one BitVec at a
+//                             time through the dispatched pair kernel. Tests
+//                             compare every backend and layout against it.
+//   * best_match            — the oracle's single best hit.
+//   * top_k_search (view)   — one query over an hd::RefView; a block of one.
+//   * BatchQuery, insert_top_k, for_each_query_segment — the query-block
+//                             vocabulary every batched search path shares
+//                             (insert_top_k is the one top-k insertion, so
+//                             tie-breaking is identical everywhere).
+//   * top_k_search_batch    — THE exact sweep: a query block over an
+//                             hd::RefView, reference-major and cache-blocked.
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
-// tiers, all bit-identical, plus the contiguous RefMatrix view over a
-// hypervector word block and the piecewise RefView (an ordered list of
-// contiguous extents with global indices). The RefView overloads below
-// are the fast path: cache-blocked sweeps per extent, so both a mapped
-// monolithic index::LibraryIndex (one extent) and a multi-segment
-// index::SegmentedLibrary (one extent per run of same-segment rows) go
-// through the same kernel; the RefMatrix overloads are the degenerate
-// one-extent case. The span overloads auto-detect a contiguous layout per
-// batch and fall back to per-BitVec indirection (still through the
-// dispatched pair kernel) when the references are individually
-// heap-allocated.
-//
-// ANN candidate prefilter (opt-in, off by default): before the exact sweep
-// of a precursor window, a cheap sampled-word Hamming sketch ranks the
-// window's candidates and only the best keep_fraction are exactly scored —
-// scan *less* instead of just scanning faster. Approximate by design, so
-// it never runs unless explicitly enabled (PrefilterConfig / the backend's
-// BackendOptions::prefilter); PrefilterCounters reports the scanned
-// fraction and a deterministic audit measures recall in-band.
+// tiers, all bit-identical — and the sweep runs over the piecewise RefView
+// (an ordered list of contiguous extents with global indices). A mapped
+// monolithic index::LibraryIndex is one extent, a multi-segment
+// index::SegmentedLibrary one extent per run of same-segment rows, and
+// individually heap-allocated BitVecs (usually) one single-row extent
+// each; all go through the same kernel with bit-identical results.
 #pragma once
 
 #include <algorithm>
@@ -72,22 +66,9 @@ struct SearchHit {
     const util::BitVec& query, std::span<const util::BitVec> references,
     std::size_t first, std::size_t last, std::size_t k);
 
-/// Same search over a contiguous reference matrix (bit-identical results):
-/// the SIMD sweep runs straight over the word block with no per-BitVec
-/// indirection. Callers holding a block-backed library (index load path)
-/// should build the RefMatrix once and use this overload per query.
-[[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
-                                                  const RefMatrix& references,
-                                                  std::size_t first,
-                                                  std::size_t last,
-                                                  std::size_t k);
-
-/// Same search over a piecewise view (bit-identical results): the chunked
-/// SIMD sweep runs per extent with global reference indices, visiting
-/// candidates in ascending global order. A one-extent view takes exactly
-/// the RefMatrix path; a multi-segment SegmentedLibrary's view keeps the
-/// block sweep across its mapped segments instead of falling back to
-/// per-BitVec indirection.
+/// Same search over a piecewise view (bit-identical results): a one-query
+/// block through top_k_search_batch. An invalid (empty) view has no
+/// candidates.
 [[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                                   const RefView& references,
                                                   std::size_t first,
@@ -172,108 +153,13 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
 
 /// Batched exact kernel: searches a whole query block in one
 /// reference-major sweep. result[i] is bit-identical to
-/// top_k_search(*queries[i].hv, references, queries[i].first,
-/// queries[i].last, k). Detects a contiguous reference layout once per
-/// call (RefMatrix::from_span) and takes the cache-blocked SIMD sweep when
-/// it holds; otherwise the per-BitVec fallback with hoisted per-slot query
-/// pointers.
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k);
-
-/// Batched exact kernel over a piecewise reference view: the segment
-/// sweep runs per extent and is additionally chunked
+/// top_k_search(*queries[i].hv, <the view's rows>, queries[i].first,
+/// queries[i].last, k). The segment sweep runs per extent and is chunked
 /// (kernels::sweep_chunk_rows) so a chunk of reference rows stays
 /// cache-resident while every active query of the block is scored against
-/// it. Bit-identical to the span overload; the kernel tier is resolved
-/// once per call.
+/// it; the kernel tier is resolved once per call.
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k);
-
-/// Batched exact kernel over a contiguous reference matrix — the
-/// degenerate one-extent case of the piecewise kernel above.
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries, const RefMatrix& references,
-    std::size_t k);
-
-/// Opt-in ANN-style candidate prefilter ahead of the exact sweep. With
-/// `enabled` false (the default) the prefiltered entry points are exactly
-/// the exact search — recall 1.0 by construction.
-struct PrefilterConfig {
-  bool enabled = false;
-  /// Fraction of each window's candidates shortlisted for the exact sweep
-  /// (>= 1.0 keeps everything, making the search exact again).
-  double keep_fraction = 0.125;
-  /// Windows at or below this candidate count are always swept exactly —
-  /// pruning tiny windows saves nothing and risks the top-k itself.
-  std::size_t min_keep = 64;
-  /// Windows with fewer candidates than this are swept exactly even when
-  /// the prefilter is enabled: the per-query sketch pass costs more than
-  /// the batched SIMD sweep saves on small windows, so pruning them is a
-  /// slowdown AND a recall risk. 512 is coherent with the defaults above
-  /// (min_keep 64 = 0.125 × 512 — below it the shortlist could not shrink
-  /// anyway). Bypassed windows are reported via
-  /// PrefilterCounters::windows_bypassed so scanned fractions stay honest.
-  std::size_t min_window = 512;
-  /// Words of each hypervector sampled (evenly spaced) into the sketch
-  /// score. 16 words = 1024 bits: a 1/8 sketch at the paper's D = 8k.
-  std::size_t sketch_words = 16;
-  /// Fraction of queries (chosen deterministically by stream key) whose
-  /// window is *also* swept exactly to measure recall in-band. Audited
-  /// queries still return the prefiltered result, so results never depend
-  /// on the audit rate; only the counters do.
-  double audit_fraction = 0.0;
-};
-
-/// Work and recall accounting for the prefiltered paths. Plain counters —
-/// callers running concurrently aggregate per-call instances.
-struct PrefilterCounters {
-  std::uint64_t window_candidates = 0;  ///< Candidates inside all windows.
-  std::uint64_t scanned = 0;            ///< Exactly swept after pruning.
-  /// Non-empty windows where the sketch pass ran and pruned candidates.
-  std::uint64_t windows_pruned = 0;
-  /// Non-empty windows swept exactly instead: prefilter disabled, window
-  /// under min_window, or shortlist no smaller than the window. Their
-  /// candidates count as scanned, so scanned fractions stay honest.
-  std::uint64_t windows_bypassed = 0;
-  std::uint64_t audited_queries = 0;
-  std::uint64_t audit_matched = 0;   ///< |prefiltered top-k ∩ exact top-k|.
-  std::uint64_t audit_expected = 0;  ///< Σ |exact top-k| over audits.
-
-  void accumulate(const PrefilterCounters& other) noexcept {
-    window_candidates += other.window_candidates;
-    scanned += other.scanned;
-    windows_pruned += other.windows_pruned;
-    windows_bypassed += other.windows_bypassed;
-    audited_queries += other.audited_queries;
-    audit_matched += other.audit_matched;
-    audit_expected += other.audit_expected;
-  }
-};
-
-/// Prefiltered single-query search: sketch-rank the window, exactly sweep
-/// the shortlist. Deterministic (sketch ties break by lower index) but
-/// approximate when pruning is active; bit-identical to top_k_search when
-/// cfg.enabled is false or the shortlist covers the window. `stream` keys
-/// the audit choice only — never the result. `view` may point at the
-/// caller's cached piecewise view (null → detect nothing, walk the span);
-/// the sketch pass and the shortlist sweep both visit rows in ascending
-/// global order, walking the view's extents with an amortized-O(1) cursor.
-[[nodiscard]] std::vector<SearchHit> top_k_search_prefiltered(
-    const util::BitVec& query, std::span<const util::BitVec> references,
-    std::size_t first, std::size_t last, std::size_t k,
-    const PrefilterConfig& cfg, std::uint64_t stream,
-    PrefilterCounters* counters = nullptr, const RefView* view = nullptr);
-
-/// Batched prefiltered search: per-query pruning (candidate shortlists are
-/// scattered, so there is no shared reference-major segment sweep to
-/// amortize). result[i] is bit-identical to top_k_search_prefiltered on
-/// queries[i].
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch_prefiltered(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k,
-    const PrefilterConfig& cfg, PrefilterCounters* counters = nullptr,
-    const RefView* view = nullptr);
 
 }  // namespace oms::hd

@@ -123,9 +123,9 @@ class LibraryIndex {
 
   /// Contiguous reference-major view over the whole mapped word block —
   /// the raw (pointer, stride) form the SIMD sweep kernels consume
-  /// (hd/kernels.hpp). Identical to what RefMatrix::from_span detects on
-  /// hypervectors(); exposed so the layout contract is explicit at the
-  /// artifact seam. Valid as long as this index lives.
+  /// (hd/kernels.hpp). Identical to the one extent RefView::from_span
+  /// detects on hypervectors(); exposed so the layout contract is explicit
+  /// at the artifact seam. Valid as long as this index lives.
   [[nodiscard]] hd::RefMatrix ref_matrix() const noexcept {
     return hd::RefMatrix{hv_words_, meta_->words_per_hv, size(), meta_->dim};
   }

@@ -22,9 +22,8 @@
 // merged order decomposes into runs of same-segment rows, each a
 // contiguous slice of one mapped block. ref_view() exposes exactly that
 // piecewise layout as an hd::RefView (built once at open), so the SIMD
-// sweeps keep running block-wise across segment boundaries instead of
-// dropping to per-vector kernels; compaction (IndexBuilder::compact)
-// collapses the view back to a single extent.
+// sweeps keep running block-wise across segment boundaries; compaction
+// (IndexBuilder::compact) collapses the view back to a single extent.
 //
 // Segments are immutable and the manifest swaps atomically, so a
 // SegmentedLibrary is safe to share across any number of concurrent

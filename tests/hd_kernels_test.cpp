@@ -180,7 +180,10 @@ TEST(Kernels, FromSpanDetectsContiguousBlock) {
   for (std::size_t i = 0; i < count; ++i) {
     views.push_back(util::BitVec::view(block.data() + i * n, dim));
   }
-  const RefMatrix m = RefMatrix::from_span(views);
+  const RefView view = RefView::from_span(views);
+  ASSERT_TRUE(view.valid());
+  ASSERT_TRUE(view.contiguous());
+  const RefMatrix m = view.matrix();
   ASSERT_TRUE(m.valid());
   EXPECT_EQ(m.words, block.data());
   EXPECT_EQ(m.stride, n);
@@ -197,9 +200,9 @@ TEST(Kernels, FromSpanDetectsPaddedStride) {
   for (std::size_t i = 0; i < 8; ++i) {
     views.push_back(util::BitVec::view(block.data() + i * stride, dim));
   }
-  const RefMatrix m = RefMatrix::from_span(views);
-  ASSERT_TRUE(m.valid());
-  EXPECT_EQ(m.stride, stride);
+  const RefView view = RefView::from_span(views);
+  ASSERT_TRUE(view.contiguous());
+  EXPECT_EQ(view.matrix().stride, stride);
 }
 
 TEST(Kernels, FromSpanRejectsIrregularLayouts) {
@@ -207,34 +210,41 @@ TEST(Kernels, FromSpanRejectsIrregularLayouts) {
   const std::size_t n = wc(dim);
   const auto block = random_words(n * 10, 0x1DE9);
 
-  // Irregular offsets: row 2 breaks the stride implied by rows 0→1.
+  // Irregular offsets: row 2 breaks the stride implied by rows 0→1, so it
+  // starts a second extent.
   std::vector<util::BitVec> irregular{
       util::BitVec::view(block.data(), dim),
       util::BitVec::view(block.data() + n, dim),
       util::BitVec::view(block.data() + 2 * n + 1, dim),
   };
-  EXPECT_FALSE(RefMatrix::from_span(irregular).valid());
+  const RefView irregular_view = RefView::from_span(irregular);
+  ASSERT_TRUE(irregular_view.valid());
+  EXPECT_FALSE(irregular_view.contiguous());
+  EXPECT_EQ(irregular_view.extent_count(), 2U);
 
-  // Mixed dimensions are never a matrix.
+  // Mixed dimensions have no view at all.
   std::vector<util::BitVec> mixed{
       util::BitVec::view(block.data(), dim),
       util::BitVec::view(block.data() + n, 128),
   };
-  EXPECT_FALSE(RefMatrix::from_span(mixed).valid());
+  EXPECT_FALSE(RefView::from_span(mixed).valid());
 
-  // Descending layout is rejected (stride must advance).
+  // Descending layout is not one run (stride must advance).
   std::vector<util::BitVec> descending{
       util::BitVec::view(block.data() + n, dim),
       util::BitVec::view(block.data(), dim),
   };
-  EXPECT_FALSE(RefMatrix::from_span(descending).valid());
+  const RefView descending_view = RefView::from_span(descending);
+  ASSERT_TRUE(descending_view.valid());
+  EXPECT_FALSE(descending_view.contiguous());
+  EXPECT_FALSE(descending_view.matrix().valid());
 
   // Empty span → invalid.
-  EXPECT_FALSE(RefMatrix::from_span({}).valid());
+  EXPECT_FALSE(RefView::from_span({}).valid());
 
   // Single-row span is trivially contiguous.
   std::vector<util::BitVec> single{util::BitVec::view(block.data(), dim)};
-  EXPECT_TRUE(RefMatrix::from_span(single).valid());
+  EXPECT_TRUE(RefView::from_span(single).contiguous());
 }
 
 TEST(Kernels, SearchBitIdenticalAcrossAllTiers) {
@@ -260,30 +270,34 @@ TEST(Kernels, SearchBitIdenticalAcrossAllTiers) {
     batch.push_back(BatchQuery{&query, i * 13, count - i * 17, i});
   }
 
+  const RefView view = RefView::from_span(refs);
+  ASSERT_TRUE(view.contiguous());
+
   kernels::set_active_tier(Tier::kScalar);
   const auto single_ref = top_k_search(query, refs, 0, count, 8);
-  const auto batch_ref = top_k_search_batch(batch, refs, 8);
+  const auto batch_ref = top_k_search_batch(batch, view, 8);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch_ref[i],
+              top_k_search(query, refs, batch[i].first, batch[i].last, 8))
+        << "slot " << i;
+  }
 
   for (const Tier tier : runnable_tiers()) {
     kernels::set_active_tier(tier);
     EXPECT_EQ(top_k_search(query, refs, 0, count, 8), single_ref)
         << kernels::tier_name(tier);
-    EXPECT_EQ(top_k_search_batch(batch, refs, 8), batch_ref)
+    EXPECT_EQ(top_k_search_batch(batch, view, 8), batch_ref)
         << kernels::tier_name(tier);
-    // Matrix overloads agree with the span path, tier by tier.
-    const RefMatrix m = RefMatrix::from_span(refs);
-    ASSERT_TRUE(m.valid());
-    EXPECT_EQ(top_k_search(query, m, 0, count, 8), single_ref)
-        << kernels::tier_name(tier);
-    EXPECT_EQ(top_k_search_batch(batch, m, 8), batch_ref)
+    // The per-query view path agrees with the span oracle, tier by tier.
+    EXPECT_EQ(top_k_search(query, view, 0, count, 8), single_ref)
         << kernels::tier_name(tier);
   }
 }
 
 TEST(Kernels, NonContiguousSpanStillMatchesScalarReference) {
   TierGuard guard;
-  // Owned per-BitVec storage: the fallback (indirect) sweep, still through
-  // the dispatched pair kernel.
+  // Owned per-BitVec storage: the span oracle walks it directly, the view
+  // path as (typically) one extent per row, both through dispatched kernels.
   std::vector<util::BitVec> refs(120);
   for (std::size_t i = 0; i < refs.size(); ++i) {
     refs[i] = util::BitVec(777);
@@ -297,6 +311,9 @@ TEST(Kernels, NonContiguousSpanStillMatchesScalarReference) {
   for (const Tier tier : runnable_tiers()) {
     kernels::set_active_tier(tier);
     EXPECT_EQ(top_k_search(query, refs, 0, refs.size(), 5), expected)
+        << kernels::tier_name(tier);
+    EXPECT_EQ(top_k_search(query, RefView::from_span(refs), 0, refs.size(), 5),
+              expected)
         << kernels::tier_name(tier);
   }
 }

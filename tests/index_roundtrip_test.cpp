@@ -125,9 +125,11 @@ TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
     // the exposed views must agree: the word block is one contiguous
     // reference-major matrix on both the mmap and in-memory paths.
     const hd::RefMatrix direct = idx->ref_matrix();
-    const hd::RefMatrix detected = hd::RefMatrix::from_span(idx->hypervectors());
+    const hd::RefView view = hd::RefView::from_span(idx->hypervectors());
     ASSERT_TRUE(direct.valid());
-    ASSERT_TRUE(detected.valid());
+    ASSERT_TRUE(view.valid());
+    ASSERT_TRUE(view.contiguous());
+    const hd::RefMatrix detected = view.matrix();
     EXPECT_EQ(direct.words, detected.words);
     EXPECT_EQ(direct.stride, detected.stride);
     EXPECT_EQ(direct.count, detected.count);

@@ -11,7 +11,7 @@
 //     load path.
 //   * Compaction: rewrites all segments into one with zero encode calls,
 //     byte-identical to a one-shot artifact of the union; search results
-//     are unchanged and the contiguous RefMatrix fast path is restored.
+//     are unchanged and the reference view is one contiguous extent again.
 //   * Guard rails: append validates the fingerprint against the manifest
 //     and refuses injected_ber libraries (the error realization is
 //     batch-sequential, so incremental growth would change stored bytes).
@@ -351,7 +351,7 @@ TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
     ASSERT_EQ(lib.segment_count(), 2u);
     // Word blocks live in two disjoint mappings interleaved by mass: no
     // single contiguous reference-major matrix exists...
-    EXPECT_FALSE(hd::RefMatrix::from_span(lib.hypervectors()).valid());
+    EXPECT_FALSE(hd::RefView::from_span(lib.hypervectors()).contiguous());
     // ...but the piecewise view still covers every row with block-sweep
     // extents — fragmentation costs extents, not the SIMD kernel.
     const hd::RefView& view = lib.ref_view();
@@ -365,7 +365,7 @@ TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
   {
     const auto lib = index::SegmentedLibrary::open(man_path);
     ASSERT_EQ(lib.segment_count(), 1u);
-    EXPECT_TRUE(hd::RefMatrix::from_span(lib.hypervectors()).valid());
+    EXPECT_TRUE(hd::RefView::from_span(lib.hypervectors()).contiguous());
     // One segment degenerates to the monolithic layout: a single extent,
     // convertible back to the plain RefMatrix.
     EXPECT_TRUE(lib.ref_view().contiguous());
@@ -436,8 +436,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PiecewiseSweep,
 
 TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   // Kernel-level check, below the pipeline: batched search over a
-  // 5-segment library's piecewise view vs (a) the per-BitVec span
-  // fallback over the same rows and (b) a monolithic contiguous copy.
+  // 5-segment library's piecewise view vs (a) the per-query span oracle
+  // over the same rows and (b) a monolithic contiguous copy.
   const auto workload = small_workload(220, 0, 41);
   const auto cfg = test_config("ideal-hd", 2048);
   const index::IndexBuilder builder(cfg);
@@ -469,12 +469,14 @@ TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   }
 
   const auto piecewise = hd::top_k_search_batch(batch, view, 6);
-  const auto per_vector =
-      hd::top_k_search_batch(batch, lib.hypervectors(), 6);
-  const auto contiguous = hd::top_k_search_batch(batch, mono, 6);
+  const auto contiguous =
+      hd::top_k_search_batch(batch, hd::RefView::from_matrix(mono), 6);
   ASSERT_EQ(piecewise.size(), batch.size());
   for (std::size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(piecewise[q], per_vector[q]) << "query " << q;
+    EXPECT_EQ(piecewise[q],
+              hd::top_k_search(queries[q], lib.hypervectors(), batch[q].first,
+                               batch[q].last, 6))
+        << "query " << q;
     EXPECT_EQ(piecewise[q], contiguous[q]) << "query " << q;
     // And the per-query piecewise overload agrees with the batch.
     EXPECT_EQ(piecewise[q],

@@ -154,8 +154,9 @@ INSTANTIATE_TEST_SUITE_P(Dims, DimSweep,
 // NOT multiples of 64, so every row ends in a partial word — a randomized
 // piecewise layout (rows dealt in random-length runs across disjoint word
 // blocks, mimicking a segmented library's interleaved merge order) must
-// search bit-identically through every entry point: the RefView piecewise
-// kernel, the per-BitVec span path, and a monolithic contiguous copy.
+// search bit-identically through every entry point and layout: the
+// RefView piecewise kernel (batched and per query), the heap-owned copies,
+// a monolithic contiguous copy, and the per-query span oracle.
 class PiecewiseLayoutSweep
     : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::size_t>> {
 };
@@ -235,12 +236,13 @@ TEST_P(PiecewiseLayoutSweep, FragmentedViewMatchesFallbackAndMonolith) {
   }
 
   const auto piecewise = hd::top_k_search_batch(batch, view, kTopK);
-  const auto span_path =
-      hd::top_k_search_batch(batch, std::span<const util::BitVec>(views),
-                             kTopK);
-  const auto contiguous = hd::top_k_search_batch(batch, mono, kTopK);
+  // The heap-owned copies: per-BitVec storage, typically one extent per row.
+  const auto heap_path =
+      hd::top_k_search_batch(batch, hd::RefView::from_span(owned), kTopK);
+  const auto contiguous =
+      hd::top_k_search_batch(batch, hd::RefView::from_matrix(mono), kTopK);
   for (std::size_t q = 0; q < kQueries; ++q) {
-    EXPECT_EQ(piecewise[q], span_path[q]) << "query " << q;
+    EXPECT_EQ(piecewise[q], heap_path[q]) << "query " << q;
     EXPECT_EQ(piecewise[q], contiguous[q]) << "query " << q;
     EXPECT_EQ(piecewise[q],
               hd::top_k_search(queries[q], view, batch[q].first,
